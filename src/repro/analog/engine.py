@@ -43,6 +43,7 @@ from repro.analog.health import (
 )
 from repro.analog.noise import NoiseModel
 from repro.analog.scaling import ScaledSystem, required_scale
+from repro.linalg.sparse import CsrMatrix
 from repro.nonlinear.continuous_newton import continuous_newton_solve
 from repro.nonlinear.homotopy import davidenko_solve
 from repro.nonlinear.systems import NonlinearSystem
@@ -106,11 +107,8 @@ class DistortedSystem(NonlinearSystem):
             return (self._eq_gain[:, None] * jac) * self._state_gain[None, :]
         # Preserve sparsity: scale rows by equation gains and columns by
         # state gains directly on the CSR data array.
-        from repro.linalg.sparse import CsrMatrix as _Csr
-
-        row_ids = np.repeat(np.arange(jac.num_rows), np.diff(jac.indptr))
-        data = jac.data * self._eq_gain[row_ids] * self._state_gain[jac.indices]
-        return _Csr(shape=jac.shape, indptr=jac.indptr, indices=jac.indices, data=data)
+        data = jac.data * self._eq_gain.take(jac.row_ids) * self._state_gain.take(jac.indices)
+        return CsrMatrix.from_structure(jac.structure, data)
 
 
 @dataclass
@@ -575,6 +573,11 @@ class AnalogAccelerator:
                 settle_time_units=flow.settle_time,
                 residual_norm=flow.residual_norm,
                 rhs_evaluations=flow.solution.rhs_evaluations,
+                # The flow kernel's deterministic work: one linear solve
+                # per RHS evaluation, its Bi-CGstab iterations and matvecs.
+                flow_linear_solves=flow_solver.stats.solves,
+                flow_inner_iterations=flow_solver.stats.inner_iterations,
+                flow_matvecs=flow_solver.stats.matvecs,
             )
             if tracer.active:
                 # The integrator's accepted steps, re-emitted as child

@@ -40,7 +40,7 @@ determinism harness checks.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -380,6 +380,22 @@ class SeedQualityGate:
 # ---------------------------------------------------------------------------
 
 
+def _slotted(cls: type) -> type:
+    """Rebuild a dataclass with ``__slots__`` and no per-instance
+    ``__dict__``: what ``dataclass(slots=True)`` does on Python >= 3.10."""
+    names = tuple(f.name for f in fields(cls))
+    namespace = {
+        key: value
+        for key, value in cls.__dict__.items()
+        if key not in names and key not in ("__dict__", "__weakref__")
+    }
+    namespace["__slots__"] = names
+    slotted = type(cls)(cls.__name__, cls.__bases__, namespace)
+    slotted.__qualname__ = cls.__qualname__
+    return slotted
+
+
+@_slotted
 @dataclass
 class TileHealth:
     """Running statistics for one tile, updated per accelerator run."""

@@ -15,9 +15,9 @@ iterations, linear solves — deterministic at fixed seed):
 * ``serve_batch`` — a batch soak through the fault-tolerant
   :class:`repro.runtime.Runtime` (admission, ladder, absorbed worker
   traces);
-* ``kernel_micro`` — the hot-loop microbench: ``csr_from_triplets``
-  stencil assembly, CSR matvec, and cached-preconditioner
-  :class:`~repro.linalg.kernel.LinearKernel` solves;
+* ``kernel_micro`` — the hot-loop microbench: stencil assembly (the
+  grid's shared pattern filled with new values), CSR matvec, and
+  cached-preconditioner :class:`~repro.linalg.kernel.LinearKernel` solves;
 * ``service_soak`` — sustained requests/sec through the sharded async
   solve service (:mod:`repro.service`): a stream of cheap digital-only
   solves pushed through admission control (queue bound tighter than
@@ -320,7 +320,7 @@ def _bench_kernel_micro(params: Dict[str, Any], seed: int) -> BenchmarkResult:
         jacobian = system.jacobian(guess)
         rhs = -system.residual(guess)
 
-        # Hot path 1: stencil assembly (csr_from_triplets under the hood).
+        # Hot path 1: stencil assembly (a fill of the grid's shared pattern).
         for _ in range(params["assemblies"]):
             with tracer.span("stencil_assembly", dimension=system.dimension):
                 jacobian = system.jacobian(guess)

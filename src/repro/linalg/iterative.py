@@ -15,6 +15,7 @@ hand side, and an optional :class:`~repro.linalg.preconditioners.Preconditioner`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
 
@@ -111,6 +112,12 @@ def _prepare(a: MatrixLike, b: np.ndarray, x0: Optional[np.ndarray]):
 
 def _stop_norm(b: np.ndarray, tol: float) -> float:
     return tol * max(float(np.linalg.norm(b)), 1e-30)
+
+
+def _norm(v: np.ndarray) -> float:
+    """2-norm of a contiguous 1-D float vector: the very ``sqrt(v.v)``
+    that ``np.linalg.norm`` computes for it, minus the dispatch."""
+    return math.sqrt(float(v @ v))
 
 
 def jacobi(
@@ -244,7 +251,12 @@ def bicgstab(
     rho = alpha = omega = 1.0
     v = np.zeros_like(r)
     p = np.zeros_like(r)
-    history = [float(np.linalg.norm(r))]
+    history = [_norm(r)]
+    if not (math.isfinite(history[-1]) and math.isfinite(threshold)):
+        # An inf/NaN right-hand side (or start) has no solution to find:
+        # fail now instead of "meeting" an inf threshold or burning the
+        # whole budget on NaN comparisons.
+        return IterativeResult(x, False, 0, history[-1], history, op.count)
     if history[-1] <= threshold:
         return IterativeResult(x, True, 0, history[-1], history, op.count)
     for it in range(max_iterations):
@@ -261,7 +273,10 @@ def bicgstab(
             return IterativeResult(x, False, it, history[-1], history, op.count)
         alpha = rho / denom
         s = r - alpha * v
-        norm_s = float(np.linalg.norm(s))
+        norm_s = _norm(s)
+        if not math.isfinite(norm_s):
+            history.append(norm_s)
+            return IterativeResult(x, False, it + 1, norm_s, history, op.count)
         if norm_s <= threshold:
             x = x + alpha * phat
             history.append(norm_s)
@@ -276,8 +291,10 @@ def bicgstab(
             return IterativeResult(x, False, it, history[-1], history, op.count)
         x = x + alpha * phat + omega * shat
         r = s - omega * t
-        norm = float(np.linalg.norm(r))
+        norm = _norm(r)
         history.append(norm)
+        if not math.isfinite(norm):
+            return IterativeResult(x, False, it + 1, norm, history, op.count)
         if norm <= threshold:
             return IterativeResult(x, True, it + 1, norm, history, op.count)
     return IterativeResult(x, False, max_iterations, history[-1], history, op.count)
@@ -307,12 +324,15 @@ def gmres(
     true_resid = b - op(x)
     history.append(float(np.linalg.norm(true_resid)))
     threshold_true = _stop_norm(b, tol)
+    if not (math.isfinite(history[-1]) and math.isfinite(threshold_true)):
+        # Same fail-fast as bicgstab on an inf/NaN right-hand side.
+        return IterativeResult(x, False, 0, history[-1], history, op.count)
     if history[-1] <= threshold_true:
         return IterativeResult(x, True, 0, history[-1], history, op.count)
     while total_inner < max_iterations:
         r = precond.apply(b - op(x))
         beta = float(np.linalg.norm(r))
-        if beta == 0.0:
+        if beta == 0.0 or not math.isfinite(beta):
             break
         q = np.zeros((restart + 1, n))
         h = np.zeros((restart + 1, restart))
@@ -357,6 +377,8 @@ def gmres(
         x = x + q[:k_used].T @ y
         true_norm = float(np.linalg.norm(b - op(x)))
         history.append(true_norm)
+        if not math.isfinite(true_norm):
+            return IterativeResult(x, False, total_inner, true_norm, history, op.count)
         if true_norm <= threshold_true:
             return IterativeResult(x, True, total_inner, true_norm, history, op.count)
     true_norm = float(np.linalg.norm(b - op(x)))

@@ -27,7 +27,6 @@ is now a thin adapter over this class.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -101,24 +100,6 @@ class LinearSolverStats:
             "GMRES fallbacks": self.gmres_fallbacks,
             "dense fallbacks": self.dense_fallbacks,
         }
-
-
-def _pattern_key(matrix: CsrMatrix) -> Tuple:
-    """Fingerprint of the CSR symbolic structure (shape + positions).
-
-    Uses content digests rather than Python's builtin ``hash`` so the
-    key is stable across interpreter restarts (``hash(bytes)`` is
-    salted per process): a kernel state restored from a checkpoint in a
-    fresh process must recognize the same sparsity pattern, or the
-    cached factorization would be silently discarded and the resumed
-    trajectory would diverge bitwise from the uninterrupted one.
-    """
-    return (
-        matrix.shape,
-        matrix.nnz,
-        hashlib.sha1(matrix.indptr.tobytes()).digest(),
-        hashlib.sha1(matrix.indices.tobytes()).digest(),
-    )
 
 
 class LinearKernel:
@@ -291,7 +272,8 @@ class LinearKernel:
             self._charge(sink, iterations=0, matvecs=0, builds=0)
             return delta
 
-        pattern = _pattern_key(jacobian)
+        # Memoized on the structure the Jacobian shares with its siblings.
+        pattern = jacobian.structure.key
         builds = 0
         if self._pattern != pattern or (
             self._preconditioner is None and self.preconditioner_kind != "none"

@@ -37,10 +37,9 @@ def qr_operation_count(matrix: CsrMatrix) -> float:
     n = matrix.num_rows
     if n == 0:
         return 0.0
-    row_ids = np.repeat(np.arange(n), np.diff(matrix.indptr))
     if matrix.nnz == 0:
         return float(n)
-    bandwidth = int(np.max(np.abs(row_ids - matrix.indices))) + 1
+    bandwidth = int(np.max(np.abs(matrix.row_ids - matrix.indices))) + 1
     return float(2.0 * n * bandwidth * bandwidth)
 
 

@@ -28,11 +28,12 @@ functions", Table 5).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.linalg.sparse import CsrMatrix, csr_from_triplets
+from repro.linalg.sparse import CsrMatrix, TripletPattern
 from repro.nonlinear.systems import NonlinearSystem
 from repro.pde.grid import Grid2D
 
@@ -47,6 +48,37 @@ ExpPair = Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.nd
 
 def _default_exp_pair() -> ExpPair:
     return (np.exp, np.exp)
+
+
+# The Jacobians below list the diagonal entries first, then every
+# off-diagonal (-1/h^2) entry; the coordinates depend only on the grid,
+# so each grid's symbolic CSR pattern is built once and shared.
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern_1d(n: int) -> TripletPattern:
+    idx = np.arange(n)
+    rows = np.concatenate([idx, idx[:-1], idx[1:]])
+    cols = np.concatenate([idx, idx[:-1] + 1, idx[1:] - 1])
+    return TripletPattern(n, n, rows, cols)
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern_2d(nx: int, ny: int) -> TripletPattern:
+    jj, ii = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
+    k = (jj * nx + ii).ravel()
+    east = (ii < nx - 1).ravel()
+    west = (ii > 0).ravel()
+    north = (jj < ny - 1).ravel()
+    south = (jj > 0).ravel()
+    rows = np.concatenate([k, k[east], k[west], k[north], k[south]])
+    cols = np.concatenate([k, k[east] + 1, k[west] - 1, k[north] + nx, k[south] - nx])
+    return TripletPattern(nx * ny, nx * ny, rows, cols)
+
+
+def _fill(pattern: TripletPattern, diagonal: np.ndarray, off_diagonal: float) -> CsrMatrix:
+    off = np.full(pattern.order.shape[0] - diagonal.shape[0], off_diagonal)
+    return pattern.fill(np.concatenate([diagonal, off]))
 
 
 class BratuProblem1D(NonlinearSystem):
@@ -79,19 +111,8 @@ class BratuProblem1D(NonlinearSystem):
 
     def jacobian(self, u: np.ndarray) -> CsrMatrix:
         u = self._validate(u)
-        n = self.dimension
         coeff = 1.0 / self.spacing**2
-        idx = np.arange(n)
-        rows = [idx]
-        cols = [idx]
-        vals = [2.0 * coeff - self.lam * self._dexp(u)]
-        if n > 1:
-            rows += [idx[:-1], idx[1:]]
-            cols += [idx[:-1] + 1, idx[1:] - 1]
-            vals += [np.full(n - 1, -coeff), np.full(n - 1, -coeff)]
-        return csr_from_triplets(
-            n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-        )
+        return _fill(_pattern_1d(self.dimension), 2.0 * coeff - self.lam * self._dexp(u), -coeff)
 
     def lower_branch_guess(self) -> np.ndarray:
         """Zero: always in the lower (stable) solution's basin."""
@@ -138,27 +159,9 @@ class BratuProblem2D(NonlinearSystem):
 
     def jacobian(self, u: np.ndarray) -> CsrMatrix:
         u = self._validate(u)
-        grid = self.grid
-        n = grid.num_nodes
-        nx, ny = grid.nx, grid.ny
-        coeff = 1.0 / grid.dx**2
-        jj, ii = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-        k = (jj * nx + ii).ravel()
-        east = (ii < nx - 1).ravel()
-        west = (ii > 0).ravel()
-        north = (jj < ny - 1).ravel()
-        south = (jj > 0).ravel()
-        rows = [k, k[east], k[west], k[north], k[south]]
-        cols = [k, k[east] + 1, k[west] - 1, k[north] + nx, k[south] - nx]
-        vals = [
-            4.0 * coeff - self.lam * self._dexp(u),
-            np.full(int(east.sum()), -coeff),
-            np.full(int(west.sum()), -coeff),
-            np.full(int(north.sum()), -coeff),
-            np.full(int(south.sum()), -coeff),
-        ]
-        return csr_from_triplets(
-            n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        coeff = 1.0 / self.grid.dx**2
+        return _fill(
+            _pattern_2d(self.grid.nx, self.grid.ny), 4.0 * coeff - self.lam * self._dexp(u), -coeff
         )
 
     def lower_branch_guess(self) -> np.ndarray:

@@ -181,3 +181,28 @@ class TestTrajectoryRecording:
         start = system.residual_norm(result.scale * trajectory.ys[0])
         end = system.residual_norm(result.scale * trajectory.ys[-1])
         assert end < 1e-3 * start
+
+
+def test_settle_span_carries_the_flow_kernels_work_counters(monkeypatch):
+    """The ``analog_settle`` span reports the flow kernel's own stats:
+    one linear solve per flow RHS evaluation, plus its inner work."""
+    import repro.nonlinear.newton as newton
+    from repro.trace import Tracer
+
+    kernels = []
+    make = newton.make_sparse_linear_solver
+
+    def capture(*args, **kwargs):
+        kernels.append(make(*args, **kwargs))
+        return kernels[-1]
+
+    monkeypatch.setattr(newton, "make_sparse_linear_solver", capture)
+    tracer = Tracer()
+    system, guess = random_burgers_system(3, 1.0, np.random.default_rng(6))
+    AnalogAccelerator(seed=3).solve(system, initial_guess=guess, tracer=tracer)
+    (settle,) = tracer.spans_named("analog_settle")
+    (kernel,) = kernels
+    attrs = settle.attrs
+    assert attrs["flow_linear_solves"] == kernel.stats.solves == attrs["rhs_evaluations"]
+    assert attrs["flow_inner_iterations"] == kernel.stats.inner_iterations > 0
+    assert attrs["flow_matvecs"] == kernel.stats.matvecs > attrs["flow_inner_iterations"]

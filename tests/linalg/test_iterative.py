@@ -193,3 +193,37 @@ def test_gmres_restart_still_converges():
     result = gmres(mat, b, restart=5, tol=1e-10, max_iterations=20_000)
     assert result.converged
     np.testing.assert_allclose(result.x, x_true, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("solver", [bicgstab, gmres])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_rhs_fails_fast(solver, bad):
+    """An inf right-hand side used to "converge" (inf <= inf) in zero
+    iterations; a NaN one burned the whole budget. Both now fail at once."""
+    a = laplacian_2d(4)
+    b = np.ones(16)
+    b[5] = bad
+    result = solver(a, b, max_iterations=500)
+    assert not result.converged
+    assert result.iterations == 0
+    assert result.matvec_count <= 1
+    assert not np.isfinite(result.residual_norm)
+
+
+@pytest.mark.parametrize("solver", [bicgstab, gmres])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_finite_rhs_is_not_reported_converged(solver):
+    # Finite entries whose 2-norm overflows: the stop threshold is inf.
+    result = solver(laplacian_2d(3), np.full(9, 1e200))
+    assert not result.converged
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bicgstab_stops_when_the_residual_turns_nonfinite():
+    # The start is finite; the first Krylov product overflows to inf.
+    builder = CooBuilder(2, 2)
+    builder.extend([(0, 0, 1.0), (1, 1, 1.0), (0, 1, 1e300)])
+    result = bicgstab(builder.to_csr(), np.array([0.0, 1e10]), max_iterations=50)
+    assert np.isfinite(result.residual_history[0])
+    assert not result.converged
+    assert result.iterations == 1
