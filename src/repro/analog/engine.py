@@ -26,7 +26,7 @@ measures in Figure 6 (total RMS 5.38 %).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -156,6 +156,11 @@ class AnalogSolveResult:
         return int(self.solution.shape[0])
 
 
+# What a settle flow hands the run: (settled scaled state, settled?,
+# flow time units, recorded trajectory or None).
+_Settle = Tuple[np.ndarray, bool, float, Optional[object]]
+
+
 class AnalogAccelerator:
     """A simulated accelerator board with a high-level solve API.
 
@@ -222,20 +227,14 @@ class AnalogAccelerator:
         self.seed_gate = seed_gate if seed_gate is not None else SeedQualityGate()
         self._run_rng = np.random.default_rng(seed + 977)
 
-    def _apply_fault_hook(self, result: "AnalogSolveResult") -> "AnalogSolveResult":
-        if self.fault_hook is None:
-            return result
-        replaced = self.fault_hook(result)
-        return result if replaced is None else replaced
-
     def _fabric_for(self, dimension: int) -> Fabric:
-        if self.num_chips is not None:
-            fabric = Fabric(
-                num_chips=self.num_chips,
-                noise=self.noise,
-                seed=self.seed,
-                degradation=self.degradation,
+        def board(num_chips: int) -> Fabric:
+            return Fabric(
+                num_chips=num_chips, noise=self.noise, seed=self.seed, degradation=self.degradation
             )
+
+        if self.num_chips is not None:
+            fabric = board(self.num_chips)
             fabric.calibrate(self.calibration)
             self.health.apply_quarantine(fabric)
             return fabric
@@ -247,12 +246,7 @@ class AnalogAccelerator:
         chips = (dimension + TILES_PER_CHIP - 1) // TILES_PER_CHIP
         max_chips = chips + (len(self.health.quarantined) + TILES_PER_CHIP - 1) // TILES_PER_CHIP
         while True:
-            fabric = Fabric(
-                num_chips=chips,
-                noise=self.noise,
-                seed=self.seed,
-                degradation=self.degradation,
-            )
+            fabric = board(chips)
             self.health.apply_quarantine(fabric)
             if len(fabric.free_tiles()) >= dimension or chips >= max_chips:
                 break
@@ -263,34 +257,31 @@ class AnalogAccelerator:
     def _observe_health(
         self,
         compiled: CompiledProblem,
-        solution: np.ndarray,
+        result: AnalogSolveResult,
         residual_vector: np.ndarray,
-        residual_norm: float,
         reference_norm: float,
-        settle_time_units: float,
-        converged: bool,
-        measured_w: np.ndarray,
-        scale: float,
         tracer: TracerLike,
-    ) -> tuple:
+    ) -> None:
         """Gate the seed, fold the run into the monitor, remediate.
 
-        Returns ``(SeedQuality, saturated_fraction)``. Emits the
-        ``analog_health`` span and the three reconciliation counters
-        (``seeds_rejected``, ``tiles_quarantined``, ``recalibrations``).
+        Sets the result's ``seed_quality``, ``seed_accepted`` and
+        ``saturated_fraction``. Emits the ``analog_health`` span and the
+        three reconciliation counters (``seeds_rejected``,
+        ``tiles_quarantined``, ``recalibrations``).
         """
-        quality = self.seed_gate.assess(solution, residual_norm, reference_norm)
+        quality = self.seed_gate.assess(result.solution, result.residual_norm, reference_norm)
         step = 2.0 * self.noise.full_scale / 2**self.noise.adc_bits
-        saturated = np.abs(np.asarray(measured_w, dtype=float)) >= self.noise.full_scale - step
+        saturated = np.abs(result.scaled_solution) >= self.noise.full_scale - step
         scaled_residuals = np.abs(
             np.nan_to_num(
-                np.asarray(residual_vector, dtype=float) / scale,
+                np.asarray(residual_vector, dtype=float) / result.scale,
                 nan=NONFINITE_QUALITY,
                 posinf=NONFINITE_QUALITY,
                 neginf=-NONFINITE_QUALITY,
             )
         )
         fabric = compiled.fabric
+        converged = result.converged
         rejected = converged and not quality.accepted
         with tracer.span("analog_health", dimension=len(residual_vector)) as span:
             if rejected:
@@ -299,7 +290,7 @@ class AnalogAccelerator:
             newly_flagged = self.health.observe_solve(
                 [tile.name for tile in compiled.tiles],
                 scaled_residuals,
-                settle_time_units,
+                result.settle_time_units,
                 saturated,
                 settled=converged,
             )
@@ -325,7 +316,16 @@ class AnalogAccelerator:
                 recalibrated=recalibrated,
                 degradation_step=0 if self.degradation is None else self.degradation.step,
             )
-        return quality, float(np.mean(saturated))
+        result.seed_quality = quality
+        result.seed_accepted = quality.accepted
+        result.saturated_fraction = float(np.mean(saturated))
+
+    def _compile(self, system: NonlinearSystem) -> CompiledProblem:
+        """Allocate a fabric for ``system`` and map it onto tiles."""
+        fabric = self._fabric_for(system.dimension)
+        if isinstance(system, BurgersStencilSystem):
+            return compile_burgers(fabric, system)
+        return compile_system(fabric, system)
 
     def solve(
         self,
@@ -343,28 +343,14 @@ class AnalogAccelerator:
         ``value_bound`` is the expected magnitude of problem values,
         used for dynamic-range scaling (the paper scales the +-3.0
         constants of its random problems into the analog range).
-        ``tracer`` records one ``analog_settle`` span per run with the
-        settled trajectory's integrator steps as ``ode_step`` children.
+        ``tracer`` records one ``analog_settle`` span per run.
         """
-        fabric = self._fabric_for(system.dimension)
-        if isinstance(system, BurgersStencilSystem):
-            compiled = compile_burgers(fabric, system)
-        else:
-            compiled = compile_system(fabric, system)
-        try:
-            return self._execute(
-                compiled,
-                initial_guess,
-                value_bound,
-                time_limit,
-                derivative_tolerance,
-                record_trajectory=record_trajectory,
-                tracer=tracer,
-                settle_max_steps=settle_max_steps,
-            )
-        finally:
-            fabric.exec_stop()
-            compiled.release()
+        flow = self._newton_flow(
+            time_limit, derivative_tolerance, settle_max_steps, record_trajectory
+        )
+        return self._run(
+            self._compile(system), [system], [initial_guess], value_bound, flow, tracer
+        )[0]
 
     def solve_with_homotopy(
         self,
@@ -385,69 +371,24 @@ class AnalogAccelerator:
         """
         if simple.dimension != hard.dimension:
             raise ValueError("simple and hard systems must share a dimension")
-        tracer = as_tracer(tracer)
-        fabric = self._fabric_for(hard.dimension)
-        compiled = compile_system(fabric, hard, owner="homotopy")
-        try:
-            scale = required_scale(value_bound, self.noise)
-            start_root = np.asarray(start_root, dtype=float)
-            w0 = self.noise.dac_write(start_root / scale)
-            # As in _execute: age the board first, then read the errors
-            # the run is actually distorted by.
-            compiled.fabric.exec_start()
-            eq_gains = compiled.equation_gain_errors()
-            state_gains = compiled.state_gain_errors()
-            offsets = compiled.equation_offsets()
-            distorted_simple = DistortedSystem(
-                ScaledSystem(simple, scale), eq_gains, state_gains, offsets
-            )
-            distorted_hard = DistortedSystem(
-                ScaledSystem(hard, scale), eq_gains, state_gains, offsets
-            )
-            flow = davidenko_solve(
-                distorted_simple,
-                distorted_hard,
+
+        def flow(distort, _system, w0, _tracer) -> _Settle:
+            run = davidenko_solve(
+                distort(simple),
+                distort(hard),
                 w0,
                 rtol=1e-6,
                 atol=1e-9,
                 polish=False,
                 residual_tolerance=1e-1,
             )
-            thermal = (
-                self.noise.thermal_noise_sigma
-                / np.sqrt(self.adc_repeats)
-                * self._run_rng.standard_normal(flow.u.shape)
-            )
-            measured = self.noise.adc_read(flow.u + thermal)
-            solution = scale * measured
-            residual_vector = np.asarray(hard.residual(solution), dtype=float)
-            residual_norm = float(np.linalg.norm(residual_vector))
-            quality, saturated_fraction = self._observe_health(
-                compiled,
-                solution,
-                residual_vector,
-                residual_norm,
-                reference_norm=hard.residual_norm(start_root),
-                settle_time_units=1.0,
-                converged=flow.converged,
-                measured_w=measured,
-                scale=scale,
-                tracer=tracer,
-            )
-            return self._apply_fault_hook(AnalogSolveResult(
-                solution=solution,
-                converged=flow.converged,
-                settle_time_units=1.0,  # the lambda ramp spans one unit
-                scale=scale,
-                scaled_solution=measured,
-                residual_norm=residual_norm,
-                seed_quality=quality,
-                seed_accepted=quality.accepted,
-                saturated_fraction=saturated_fraction,
-            ))
-        finally:
-            fabric.exec_stop()
-            compiled.release()
+            return run.u, run.converged, 1.0, None  # the lambda ramp spans one unit
+
+        compiled = compile_system(self._fabric_for(hard.dimension), hard, owner="homotopy")
+        # The ramp's DAC/ADC traffic is not modelled: no transfers.
+        return self._run(
+            compiled, [hard], [start_root], value_bound, flow, tracer, transfers=False
+        )[0]
 
     def solve_batch(
         self,
@@ -481,153 +422,158 @@ class AnalogAccelerator:
             initial_guesses = [None] * len(systems)
         if len(initial_guesses) != len(systems):
             raise ValueError("one initial guess per system (or None)")
-        fabric = self._fabric_for(dimension)
-        if isinstance(systems[0], BurgersStencilSystem):
-            compiled = compile_burgers(fabric, systems[0])
-        else:
-            compiled = compile_system(fabric, systems[0])
-        results = []
-        try:
-            for index, (system, guess) in enumerate(zip(systems, initial_guesses)):
-                result = self._execute(
-                    compiled,
-                    guess,
-                    value_bound,
-                    time_limit,
-                    derivative_tolerance,
-                    system=system,
-                    tracer=tracer,
-                    settle_max_steps=settle_max_steps,
-                )
-                result.reconfigured = index == 0
-                results.append(result)
-                fabric.exec_stop()
-        finally:
-            fabric.exec_stop()
-            compiled.release()
-        return results
+        flow = self._newton_flow(time_limit, derivative_tolerance, settle_max_steps)
+        return self._run(
+            self._compile(systems[0]), systems, initial_guesses, value_bound, flow, tracer
+        )
 
-    def _execute(
+    def _newton_flow(
         self,
-        compiled: CompiledProblem,
-        initial_guess: Optional[np.ndarray],
-        value_bound: float,
         time_limit: float,
         derivative_tolerance: float,
-        system: Optional[NonlinearSystem] = None,
+        settle_max_steps: int,
         record_trajectory: bool = False,
-        tracer: Optional[TracerLike] = None,
-        settle_max_steps: int = 1_000_000,
-    ) -> AnalogSolveResult:
+    ) -> Callable[..., _Settle]:
+        """The settle of :meth:`solve`/:meth:`solve_batch`: continuous
+        Newton on the distorted scaled system, in an ``analog_settle``
+        span."""
+
+        def flow(distort, system, w0, tracer) -> _Settle:
+            distorted = distort(system)
+            # Bounded inner kernel: the flow's direction only needs to be
+            # accurate to the integrator's tolerance, and runaway Krylov
+            # fallbacks near singular Jacobians would dominate simulation
+            # wall-clock without changing the settled state.
+            from repro.nonlinear.newton import make_sparse_linear_solver
+
+            flow_solver = make_sparse_linear_solver(tol=1e-8, max_iterations=300)
+            # Convergence is judged relative to the starting residual: at
+            # extreme Reynolds numbers the scaled operator's magnitude (the
+            # 1/Re viscous coefficients) inflates absolute residuals without
+            # the settled *solution* being any worse.
+            initial_residual = float(np.linalg.norm(distorted.residual(w0)))
+            with tracer.span("analog_settle", dimension=system.dimension) as settle_span:
+                run = continuous_newton_solve(
+                    distorted,
+                    w0,
+                    time_limit=time_limit,
+                    fidelity="behavioral",
+                    derivative_tolerance=derivative_tolerance,
+                    dwell=0.05,
+                    rtol=1e-6,
+                    atol=1e-9,
+                    linear_solver=flow_solver,
+                    residual_tolerance=max(1e-2, 1e-3 * initial_residual),
+                    max_steps=settle_max_steps,
+                )
+                settle_span.update(
+                    converged=run.converged,
+                    settle_time_units=run.settle_time,
+                    residual_norm=run.residual_norm,
+                    rhs_evaluations=run.solution.rhs_evaluations,
+                    # The flow kernel's deterministic work: one linear solve
+                    # per RHS evaluation, its Bi-CGstab iterations and matvecs.
+                    flow_linear_solves=flow_solver.stats.solves,
+                    flow_inner_iterations=flow_solver.stats.inner_iterations,
+                    flow_matvecs=flow_solver.stats.matvecs,
+                )
+                if tracer.active:
+                    # The integrator's accepted steps; their flow-time
+                    # positions live in the trajectory (``solution.ts``).
+                    tracer.counter("ode_steps", max(len(run.solution.ts) - 1, 0))
+            return (
+                run.u,
+                run.converged,
+                run.settle_time,
+                run.solution if record_trajectory else None,
+            )
+
+        return flow
+
+    def _run(
+        self,
+        compiled: CompiledProblem,
+        systems,
+        initial_guesses,
+        value_bound: float,
+        flow: Callable[..., _Settle],
+        tracer: Optional[TracerLike],
+        transfers: bool = True,
+    ) -> List[AnalogSolveResult]:
+        """Run each system in turn on one compiled configuration, then
+        release the hardware. Only the first run configures the fabric.
+
+        Each run programs the initial conditions, releases the
+        integrators, settles ``flow`` on the distorted fabric, reads the
+        state out through the ADCs, then gates the seed, observes board
+        health and applies the fault hook. ``flow(distort, system, w0,
+        tracer)`` returns the settled scaled state, whether it settled,
+        the flow time it took and the recorded trajectory (or ``None``).
+        """
         tracer = as_tracer(tracer)
-        system = compiled.system if system is None else system
         scale = required_scale(value_bound, self.noise)
-        scaled = ScaledSystem(system, scale)
-        if initial_guess is None:
-            guess_physical = np.zeros(system.dimension)
-            w0 = np.zeros(system.dimension)
-        else:
-            guess_physical = np.asarray(initial_guess, dtype=float)
-            w0 = scaled.to_scaled(guess_physical)
-        # Initial conditions are programmed through DACs.
-        w0 = self.noise.dac_write(w0)
+        results = []
+        try:
+            for index, (system, initial_guess) in enumerate(zip(systems, initial_guesses)):
+                if initial_guess is None:
+                    guess = np.zeros(system.dimension)
+                else:
+                    guess = np.asarray(initial_guess, dtype=float)
+                # Initial conditions are programmed through DACs.
+                w0 = self.noise.dac_write(guess / scale)
 
-        # exec_start *before* reading the datapath errors: each start
-        # ages the board one degradation step, and the run must see the
-        # errors as they stand when the integrators are released.
-        compiled.fabric.exec_start()
-        distorted = DistortedSystem(
-            scaled,
-            equation_gains=compiled.equation_gain_errors(),
-            state_gains=compiled.state_gain_errors(),
-            offsets=compiled.equation_offsets(),
-        )
-        # Bounded inner kernel: the flow's direction only needs to be
-        # accurate to the integrator's tolerance, and runaway Krylov
-        # fallbacks near singular Jacobians would dominate simulation
-        # wall-clock without changing the settled state.
-        from repro.nonlinear.newton import make_sparse_linear_solver
+                # exec_start *before* reading the datapath errors: each
+                # start ages the board one degradation step, and the run
+                # must see the errors as they stand when the integrators
+                # are released.
+                compiled.fabric.exec_start()
+                errors = (
+                    compiled.equation_gain_errors(),
+                    compiled.state_gain_errors(),
+                    compiled.equation_offsets(),
+                )
 
-        flow_solver = make_sparse_linear_solver(tol=1e-8, max_iterations=300)
-        # Convergence is judged relative to the starting residual: at
-        # extreme Reynolds numbers the scaled operator's magnitude (the
-        # 1/Re viscous coefficients) inflates absolute residuals without
-        # the settled *solution* being any worse.
-        initial_residual = float(np.linalg.norm(distorted.residual(w0)))
-        with tracer.span("analog_settle", dimension=system.dimension) as settle_span:
-            flow = continuous_newton_solve(
-                distorted,
-                w0,
-                time_limit=time_limit,
-                fidelity="behavioral",
-                derivative_tolerance=derivative_tolerance,
-                dwell=0.05,
-                rtol=1e-6,
-                atol=1e-9,
-                linear_solver=flow_solver,
-                residual_tolerance=max(1e-2, 1e-3 * initial_residual),
-                max_steps=settle_max_steps,
-            )
-            settle_span.update(
-                converged=flow.converged,
-                settle_time_units=flow.settle_time,
-                residual_norm=flow.residual_norm,
-                rhs_evaluations=flow.solution.rhs_evaluations,
-                # The flow kernel's deterministic work: one linear solve
-                # per RHS evaluation, its Bi-CGstab iterations and matvecs.
-                flow_linear_solves=flow_solver.stats.solves,
-                flow_inner_iterations=flow_solver.stats.inner_iterations,
-                flow_matvecs=flow_solver.stats.matvecs,
-            )
-            if tracer.active:
-                # The integrator's accepted steps, re-emitted as child
-                # spans: their *wall* duration is ~0 (the run already
-                # happened); the flow-time step lives in the attrs.
-                ts = flow.solution.ts
-                tracer.counter("ode_steps", max(len(ts) - 1, 0))
-                for tau0, tau1 in zip(ts[:-1], ts[1:]):
-                    with tracer.span("ode_step") as step_span:
-                        step_span.update(tau=float(tau0), dtau=float(tau1 - tau0))
-        # ADC readout: thermal noise averaged over repeats, then
-        # quantization (bias not removed by averaging).
-        settled_w = flow.u
-        thermal = (
-            self.noise.thermal_noise_sigma
-            / np.sqrt(self.adc_repeats)
-            * self._run_rng.standard_normal(settled_w.shape)
-        )
-        measured_w = self.noise.adc_read(settled_w + thermal)
-        solution = scaled.to_physical(measured_w)
-        residual_vector = np.asarray(system.residual(solution), dtype=float)
-        residual_norm = float(np.linalg.norm(residual_vector))
-        quality, saturated_fraction = self._observe_health(
-            compiled,
-            solution,
-            residual_vector,
-            residual_norm,
-            reference_norm=system.residual_norm(guess_physical),
-            settle_time_units=flow.settle_time,
-            converged=flow.converged,
-            measured_w=measured_w,
-            scale=scale,
-            tracer=tracer,
-        )
-        n = system.dimension
-        resources = compiled.resources
-        return self._apply_fault_hook(AnalogSolveResult(
-            solution=solution,
-            converged=flow.converged,
-            settle_time_units=flow.settle_time,
-            scale=scale,
-            scaled_solution=measured_w,
-            residual_norm=residual_norm,
-            # Transfers per run: initial conditions plus the Table 3
-            # per-variable constant DACs in; one averaged ADC sample
-            # stream per variable out.
-            dac_writes=n + n * resources.per_variable_total("DAC"),
-            adc_reads=n * self.adc_repeats,
-            trajectory=flow.solution if record_trajectory else None,
-            seed_quality=quality,
-            seed_accepted=quality.accepted,
-            saturated_fraction=saturated_fraction,
-        ))
+                def distort(inner: NonlinearSystem) -> DistortedSystem:
+                    return DistortedSystem(ScaledSystem(inner, scale), *errors)
+
+                settled_w, converged, settle_time, trajectory = flow(distort, system, w0, tracer)
+                # ADC readout: thermal noise averaged over repeats, then
+                # quantization (bias not removed by averaging).
+                thermal = (
+                    self.noise.thermal_noise_sigma
+                    / np.sqrt(self.adc_repeats)
+                    * self._run_rng.standard_normal(settled_w.shape)
+                )
+                measured_w = self.noise.adc_read(settled_w + thermal)
+                solution = scale * measured_w
+                residual_vector = np.asarray(system.residual(solution), dtype=float)
+                n = system.dimension
+                result = AnalogSolveResult(
+                    solution=solution,
+                    converged=converged,
+                    settle_time_units=settle_time,
+                    scale=scale,
+                    scaled_solution=measured_w,
+                    residual_norm=float(np.linalg.norm(residual_vector)),
+                    # Transfers per run: initial conditions plus the
+                    # Table 3 per-variable constant DACs in; one averaged
+                    # ADC sample stream per variable out.
+                    dac_writes=n * (1 + compiled.resources.per_variable_total("DAC"))
+                    if transfers
+                    else 0,
+                    adc_reads=n * self.adc_repeats if transfers else 0,
+                    trajectory=trajectory,
+                )
+                self._observe_health(
+                    compiled, result, residual_vector, system.residual_norm(guess), tracer
+                )
+                if self.fault_hook is not None:
+                    replaced = self.fault_hook(result)
+                    result = result if replaced is None else replaced
+                result.reconfigured = index == 0
+                results.append(result)
+                compiled.fabric.exec_stop()
+        finally:
+            compiled.fabric.exec_stop()
+            compiled.release()
+        return results

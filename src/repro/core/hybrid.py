@@ -43,17 +43,16 @@ from repro.nonlinear.newton import (
     newton_solve,
 )
 from repro.nonlinear.systems import NonlinearSystem
-from repro.runtime.ladder import (
-    FALLBACK_TOLERANCE_FLOOR as _LADDER_FALLBACK_FLOOR,
+from repro.runtime.ladder import (  # DOUBLE_EPS stays importable from here
+    DOUBLE_EPS,
+    FALLBACK_TOLERANCE_FLOOR,
     damped_recovery,
+    default_newton_options,
+    hybrid_seed,
 )
 from repro.trace.tracer import TracerLike, as_tracer
 
 __all__ = ["HybridResult", "HybridSolver"]
-
-# The paper polishes "to double-precision floating point epsilon"; on a
-# residual norm this is epsilon scaled by the problem's magnitude.
-DOUBLE_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -93,15 +92,12 @@ class HybridSolver:
     fallback_options:
         Options for the damped-restart recovery used when the analog
         seed turns out not to sit in the quadratic basin (rare: an
-        unsettled analog run). These are deliberately *relaxed*
-        relative to the polish: the damped baseline started from a bad
-        seed may never reach the eps-scaled polish tolerance, and with
-        the tight tolerance it would burn every damping level to the
-        iteration cap before reporting failure. The default relaxes
-        the tolerance floor to ``1e-9``; if the recovery converges, a
-        final polish at the tight tolerance is still attempted, and the
-        reported ``converged`` status honestly reflects whichever
-        tolerance was actually achieved.
+        unsettled analog run). The default relaxes the polish to the
+        ``FALLBACK_TOLERANCE_FLOOR`` of ``1e-9``
+        (:func:`repro.runtime.ladder.default_newton_options`); if the
+        recovery converges, a final polish at the tight tolerance is
+        still attempted, and the reported ``converged`` status honestly
+        reflects whichever tolerance was actually achieved.
     linear_solver:
         A :class:`~repro.linalg.kernel.LinearKernel` or bare callable
         shared by every digital leg. When omitted, each ``solve`` call
@@ -109,11 +105,8 @@ class HybridSolver:
         cross-problem contamination).
     """
 
-    # Tolerance floor of the default recovery options: loose enough for
-    # a damped search from a bad seed to terminate, tight enough that a
-    # "recovered" solution is still a solution by any practical measure.
     # Shared with the runtime's damped_newton ladder rung.
-    FALLBACK_TOLERANCE_FLOOR = _LADDER_FALLBACK_FLOOR
+    FALLBACK_TOLERANCE_FLOOR = FALLBACK_TOLERANCE_FLOOR
 
     def __init__(
         self,
@@ -123,14 +116,8 @@ class HybridSolver:
         fallback_options: Optional[NewtonOptions] = None,
     ):
         self.accelerator = accelerator or AnalogAccelerator()
-        self.polish_options = polish_options or NewtonOptions(
-            damping=1.0, tolerance=1e3 * DOUBLE_EPS, max_iterations=100
-        )
-        self.fallback_options = fallback_options or NewtonOptions(
-            damping=self.polish_options.damping,
-            tolerance=max(self.polish_options.tolerance, self.FALLBACK_TOLERANCE_FLOOR),
-            max_iterations=max(self.polish_options.max_iterations, 200),
-            divergence_threshold=self.polish_options.divergence_threshold,
+        self.polish_options, self.fallback_options = default_newton_options(
+            polish_options, fallback_options
         )
         self.linear_solver = linear_solver
 
@@ -167,33 +154,17 @@ class HybridSolver:
                 time_limit=analog_time_limit,
                 tracer=tracer,
             )
-            rejected = analog.converged and not analog.seed_accepted
-            seed = analog.solution if analog.converged and not rejected else guess
+            seed, rejected = hybrid_seed(analog, guess)
             solver = self._solver()
-            if rejected:
-                # The seed gate refused the settled analog solution: it
-                # is *worse* than the naive guess (degraded board), so
-                # undamped Newton from it would burn a doomed polish.
-                # Go straight to the damped recovery from the guess.
-                tracer.counter("hybrid_recoveries")
-                digital = damped_recovery(
-                    system,
-                    seed,
-                    self.polish_options,
-                    self.fallback_options,
-                    solver,
-                    tracer=tracer,
-                )
-            else:
+            digital = None
+            if not rejected:
                 digital = newton_solve(system, seed, self.polish_options, solver, tracer=tracer)
-            if not digital.converged and not rejected:
-                # The seed was not good enough (rare: an unsettled analog
-                # run). Recover with the damped baseline under its own
-                # relaxed options — the tight polish tolerance may be
-                # unreachable from a bad seed, and looping every damping
-                # level to the cap would only misreport the failure mode.
-                # The recovery policy itself lives in the runtime's
-                # degradation ladder (its damped_newton rung).
+            if digital is None or not digital.converged:
+                # The seed was refused by the gate or did not sit in the
+                # quadratic basin (rare: an unsettled analog run).
+                # Recover with the damped baseline under its own relaxed
+                # options; the recovery policy itself is the runtime
+                # ladder's damped_newton rung.
                 tracer.counter("hybrid_recoveries")
                 digital = damped_recovery(
                     system,

@@ -27,6 +27,7 @@ is now a thin adapter over this class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -293,6 +294,14 @@ class LinearKernel:
         )
         inner += result.iterations
         matvecs += result.matvec_count
+
+        if not math.isfinite(result.residual_norm):
+            # A non-finite right-hand side or Jacobian has no solution a
+            # refreshed preconditioner, GMRES or the dense path could
+            # find: hand back a NaN step (the caller's non-finite check
+            # ends the solve) and charge no fallback.
+            self._charge(sink, iterations=inner, matvecs=matvecs, builds=builds)
+            return np.full_like(result.x, np.nan)
 
         if builds == 0 and self._reuse_degraded(result):
             # The cached factorization has gone stale (values drifted

@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analog.engine import AnalogAccelerator
+from repro.analog.engine import AnalogAccelerator, AnalogSolveResult
 from repro.nonlinear.homotopy import HomotopySchedule, newton_homotopy_solve
 from repro.nonlinear.newton import (
     IterationHook,
@@ -53,18 +53,57 @@ __all__ = [
     "LadderResult",
     "DegradationLadder",
     "damped_recovery",
+    "default_newton_options",
+    "hybrid_seed",
 ]
 
 DEFAULT_RUNGS: Tuple[str, ...] = ("hybrid", "damped_newton", "homotopy")
 
-# Mirrors repro.core.hybrid: polish "to double-precision epsilon".
-_DOUBLE_EPS = float(np.finfo(np.float64).eps)
+# The paper polishes "to double-precision floating point epsilon"; on a
+# residual norm this is epsilon scaled by the problem's magnitude.
+DOUBLE_EPS = float(np.finfo(np.float64).eps)
 
-# Tolerance floor for the damped recovery rung — loose enough for a
+# Tolerance floor of the default recovery options: loose enough for a
 # damped search from a bad seed to terminate, tight enough that a
-# recovered solution is a solution by any practical measure (see
-# HybridSolver.FALLBACK_TOLERANCE_FLOOR, which this keeps in sync).
+# recovered solution is a solution by any practical measure.
 FALLBACK_TOLERANCE_FLOOR = 1e-9
+
+
+def default_newton_options(
+    polish_options: Optional[NewtonOptions] = None,
+    fallback_options: Optional[NewtonOptions] = None,
+) -> Tuple[NewtonOptions, NewtonOptions]:
+    """The ``(polish, fallback)`` options of a hybrid solve, defaults
+    filled in.
+
+    The polish takes full (undamped) steps — the point of a good seed —
+    to a tolerance scaled from double epsilon. The fallback is the
+    polish *relaxed*: the damped search from a bad seed may never reach
+    the eps-scaled tolerance, and with it would burn every damping level
+    to the iteration cap before reporting failure.
+    """
+    polish = polish_options or NewtonOptions(
+        damping=1.0, tolerance=1e3 * DOUBLE_EPS, max_iterations=100
+    )
+    fallback = fallback_options or NewtonOptions(
+        damping=polish.damping,
+        tolerance=max(polish.tolerance, FALLBACK_TOLERANCE_FLOOR),
+        max_iterations=max(polish.max_iterations, 200),
+        divergence_threshold=polish.divergence_threshold,
+    )
+    return polish, fallback
+
+
+def hybrid_seed(analog: AnalogSolveResult, guess: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """The seed rule of a hybrid solve: ``(seed, rejected)``.
+
+    A settled run the seed gate refused is *worse* than the naive guess
+    (a degraded board): ``rejected`` is set, and the caller skips the
+    doomed undamped polish and recovers from the guess. An unsettled run
+    also seeds from the guess.
+    """
+    rejected = analog.converged and not analog.seed_accepted
+    return (analog.solution if analog.converged and not rejected else guess), rejected
 
 
 def damped_recovery(
@@ -163,14 +202,8 @@ class DegradationLadder:
         if settle_max_steps < 1:
             raise ValueError("settle_max_steps must be at least 1")
         self.settle_max_steps = int(settle_max_steps)
-        self.polish_options = polish_options or NewtonOptions(
-            damping=1.0, tolerance=1e3 * _DOUBLE_EPS, max_iterations=100
-        )
-        self.fallback_options = fallback_options or NewtonOptions(
-            damping=self.polish_options.damping,
-            tolerance=max(self.polish_options.tolerance, FALLBACK_TOLERANCE_FLOOR),
-            max_iterations=max(self.polish_options.max_iterations, 200),
-            divergence_threshold=self.polish_options.divergence_threshold,
+        self.polish_options, self.fallback_options = default_newton_options(
+            polish_options, fallback_options
         )
         self.schedule = schedule or HomotopySchedule(steps=20)
         unknown = set(rungs) - set(DEFAULT_RUNGS)
@@ -321,11 +354,10 @@ class DegradationLadder:
             tracer=tracer,
             settle_max_steps=self.settle_max_steps,
         )
-        if analog.converged and not analog.seed_accepted:
-            # The seed gate refused the settled analog solution (it is
-            # worse than the naive guess — a degraded board). Fail the
-            # rung *without* burning the doomed undamped polish; the
-            # ladder falls straight to damped_newton from the guess.
+        seed, rejected = hybrid_seed(analog, guess)
+        if rejected:
+            # Fail the rung *without* burning the doomed undamped
+            # polish; the ladder falls straight to damped_newton.
             quality = analog.seed_quality
             detail = f" (quality {quality.quality:.3g} > {quality.threshold:.3g})" if quality else ""
             attempt = RungAttempt(
@@ -334,8 +366,7 @@ class DegradationLadder:
                 residual_norm=float(analog.residual_norm),
                 error=f"analog seed rejected by quality gate{detail}",
             )
-            return attempt, guess
-        seed = analog.solution if analog.converged else guess
+            return attempt, seed
         solver = LinearKernel()
         polish = newton_solve(
             system, seed, self.polish_options, solver, tracer=tracer, iteration_hook=hook

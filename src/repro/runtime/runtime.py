@@ -905,14 +905,33 @@ class Runtime:
         """
         from dataclasses import replace
 
+        attempt, assignment = self._start_attempt(state, tracer)
+        escalated_request = replace(state.request, rungs=("damped_newton",))
+        report = self._attempt_in_process(escalated_request, attempt, tracer, assignment)
+        return self._process_report(state, report, tracer, bump)
+
+    def _start_attempt(
+        self, state: _RequestState, tracer: TracerLike
+    ) -> Tuple[int, Optional[BoardAssignment]]:
+        """Number the request's next attempt, journal it write-ahead and
+        route it to a board."""
         attempt = state.attempts_started
         state.attempts_started += 1
         self._journal_attempt(state.request.request_id, attempt)
-        assignment = self._route_attempt(state, attempt, tracer)
-        escalated_request = replace(state.request, rungs=("damped_newton",))
+        return attempt, self._route_attempt(state, attempt, tracer)
+
+    def _attempt_in_process(
+        self,
+        request: SolveRequest,
+        attempt: int,
+        tracer: TracerLike,
+        board: Optional[BoardAssignment],
+    ) -> AttemptReport:
+        """Run one attempt in this process; an injected worker crash
+        becomes a crashed report, as a dead pool worker would."""
         try:
-            report = _execute_attempt(
-                escalated_request,
+            return _execute_attempt(
+                request,
                 attempt,
                 self.seed,
                 self.faults,
@@ -920,13 +939,10 @@ class Runtime:
                 allow_process_exit=False,
                 ladder_kwargs=self.ladder_kwargs,
                 degradation=self.degradation,
-                board=assignment,
+                board=board,
             )
         except InjectedWorkerCrash:
-            report = AttemptReport(
-                request_id=state.request.request_id, attempt=attempt, status="crashed"
-            )
-        return self._process_report(state, report, tracer, bump)
+            return AttemptReport(request_id=request.request_id, attempt=attempt, status="crashed")
 
     def _commit(self, state: _RequestState, report: AttemptReport, record) -> SolveOutcome:
         """Finalize the outcome and (when journaling) commit it durably."""
@@ -1027,26 +1043,8 @@ class Runtime:
             state = _RequestState(request)
             while True:
                 self._check_shutdown(shutdown)
-                attempt = state.attempts_started
-                state.attempts_started += 1
-                self._journal_attempt(request.request_id, attempt)
-                assignment = self._route_attempt(state, attempt, tracer)
-                try:
-                    report = _execute_attempt(
-                        request,
-                        attempt,
-                        self.seed,
-                        self.faults,
-                        getattr(tracer, "active", False),
-                        allow_process_exit=False,
-                        ladder_kwargs=self.ladder_kwargs,
-                        degradation=self.degradation,
-                        board=assignment,
-                    )
-                except InjectedWorkerCrash:
-                    report = AttemptReport(
-                        request_id=request.request_id, attempt=attempt, status="crashed"
-                    )
+                attempt, assignment = self._start_attempt(state, tracer)
+                report = self._attempt_in_process(request, attempt, tracer, assignment)
                 outcome, delay = self._process_report(state, report, tracer, bump)
                 if outcome is not None:
                     outcomes[request.request_id] = outcome
@@ -1156,25 +1154,6 @@ class Runtime:
                     AttemptReport(request_id=request_id, attempt=attempt, status="crashed"),
                 )
 
-        def run_in_process(state: _RequestState, attempt: int) -> None:
-            try:
-                report = _execute_attempt(
-                    state.request,
-                    attempt,
-                    self.seed,
-                    self.faults,
-                    traced,
-                    allow_process_exit=False,
-                    ladder_kwargs=self.ladder_kwargs,
-                    degradation=self.degradation,
-                    board=state.assignments.get(attempt),
-                )
-            except InjectedWorkerCrash:
-                report = AttemptReport(
-                    request_id=state.request.request_id, attempt=attempt, status="crashed"
-                )
-            handle(state, report)
-
         while pending or in_flight:
             self._check_shutdown(shutdown)
             now = time.monotonic()
@@ -1185,12 +1164,10 @@ class Runtime:
                     still_waiting.append((request_id, ready_at))
                     continue
                 state = states[request_id]
-                attempt = state.attempts_started
-                state.attempts_started += 1
-                self._journal_attempt(request_id, attempt)
-                assignment = self._route_attempt(state, attempt, tracer)
+                attempt, assignment = self._start_attempt(state, tracer)
                 if not pooled:
-                    run_in_process(state, attempt)
+                    report = self._attempt_in_process(state.request, attempt, tracer, assignment)
+                    handle(state, report)
                     continue
                 try:
                     future = executor.submit(

@@ -3,9 +3,8 @@
 The paper's headline claims are iteration-count and time-to-convergence
 curves (Figures 7-9); regressions in convergence behaviour are
 invisible from aggregate counters alone. :class:`Tracer` records the
-per-stage story: nestable spans (``solve`` -> ``newton_attempt`` ->
-``newton_iter`` -> ``linear_solve``; ``analog_settle`` -> ``ode_step``)
-carrying monotonic timestamps, residual norms, damping levels and the
+per-stage story: nestable spans (``solve`` -> ``analog_settle``,
+``newton_attempt`` -> ``newton_iter`` -> ``linear_solve``) carrying monotonic timestamps, residual norms, damping levels and the
 linear-kernel counters as attributes, plus named counters and gauges.
 
 Everything that emits spans takes an optional ``tracer=`` argument

@@ -164,6 +164,33 @@ class TestStatsAccounting:
         assert stats.matvecs > 5
         assert np.all(np.isfinite(delta))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "route",
+        ["dense", "gmres", "refresh"],
+    )
+    def test_nonfinite_rhs_skips_every_fallback(self, bad, route):
+        """A NaN/inf right-hand side has no solution to find: the kernel
+        returns a NaN step at once instead of running the stale-cache
+        refresh, GMRES or the dense path on it."""
+        n = 16
+        kernel = LinearKernel(dense_fallback_max_rows=8 if route == "gmres" else 4096)
+        if route == "refresh":
+            # A cached factorization: a failed solve would normally
+            # trigger a refresh and retry.
+            kernel.solve(_tridiag(n), np.ones(n))
+        rhs = np.ones(n)
+        rhs[3] = bad
+        before_solves = kernel.stats.solves
+        delta = kernel.solve(_tridiag(n), rhs)
+        assert delta.shape == (n,)
+        assert np.all(np.isnan(delta))
+        stats = kernel.stats
+        assert stats.solves == before_solves + 1
+        assert stats.dense_fallbacks == 0
+        assert stats.gmres_fallbacks == 0
+        assert kernel.refreshes == 0
+
     def test_merge_is_additive(self):
         a = LinearSolverStats(solves=2, inner_iterations=10, matvecs=21, preconditioner_builds=1)
         b = LinearSolverStats(solves=1, inner_iterations=4, matvecs=9, dense_fallbacks=1)

@@ -241,3 +241,90 @@ def test_serve_canary_interval_requires_boards():
                 "2",
             ]
         )
+
+
+SHARED_SERVE_OPTIONS = (
+    "--requests",
+    "--grids",
+    "--reynolds",
+    "--seed",
+    "--deadline",
+    "--max-attempts",
+    "--analog-time-limit",
+    "--faults",
+    "--degradation",
+    "--boards",
+    "--kill-board",
+    "--settle-max-steps",
+    "--certify",
+)
+
+# Every option each command accepts, with a value that parses.
+SERVE_OPTION_SAMPLES = {
+    "--trace": ["t.jsonl"],
+    "--requests": ["3"],
+    "--grids": ["2,3"],
+    "--reynolds": ["0.5"],
+    "--seed": ["4"],
+    "--deadline": ["2.5"],
+    "--max-attempts": ["2"],
+    "--analog-time-limit": ["1e-3"],
+    "--faults": ["worker_crash=0.1"],
+    "--degradation": ["offset_drift_sigma=0.05"],
+    "--boards": ["2"],
+    "--kill-board": ["1:3"],
+    "--settle-max-steps": ["50"],
+    "--certify": [],
+}
+SERVE_BATCH_ONLY = {
+    "--workers": ["2"],
+    "--journal": ["b.journal"],
+    "--resume": ["b.journal"],
+    "--crash-after-outcomes": ["1"],
+}
+SERVE_ONLY = {
+    "--shards": ["3"],
+    "--workers-per-shard": ["2"],
+    "--queue-limit": ["16"],
+    "--batch-window": ["2"],
+    "--tenants": ["2"],
+    "--journal-dir": ["svc"],
+    "--canary-interval": ["2"],
+}
+
+
+def _subparser(name):
+    from repro.cli import _build_parser
+
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    return parser, subparsers.choices[name]
+
+
+def test_serve_and_serve_batch_share_their_common_options():
+    parser, batch = _subparser("serve-batch")
+    _, service = _subparser("serve")
+    batch_actions = batch._option_string_actions
+    service_actions = service._option_string_actions
+    for option in SHARED_SERVE_OPTIONS:
+        ours, theirs = batch_actions[option], service_actions[option]
+        assert (ours.dest, ours.default, ours.type) == (theirs.dest, theirs.default, theirs.type)
+    batch_args = vars(parser.parse_args(["serve-batch"]))
+    service_args = vars(parser.parse_args(["serve"]))
+    for option in SHARED_SERVE_OPTIONS:
+        dest = batch_actions[option].dest
+        assert batch_args[dest] == service_args[dest], option
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("serve-batch", {**SERVE_OPTION_SAMPLES, **SERVE_BATCH_ONLY}),
+        ("serve", {**SERVE_OPTION_SAMPLES, **SERVE_ONLY}),
+    ],
+)
+def test_every_serve_option_still_parses(command, options):
+    parser, _ = _subparser(command)
+    for option, values in options.items():
+        args = parser.parse_args([command, option, *values])
+        assert args.command == command
